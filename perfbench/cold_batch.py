@@ -5,7 +5,13 @@ The code path ``repro batch --workers 2`` runs, on the Enron stand-in
 permutation (70% ``top_k`` with k=10, 30% ``single_source``), so the
 default cache is on but never reused and the kernels do nearly all of
 the work.  The load is closed-loop: the next batch is submitted only
-after the previous one has been answered.
+after the previous one has been answered, and a request's read latency is
+its batch's round trip (the caller gets every answer of a batch at once).
+
+The traffic has no sockets, pairs or writes, so a traced run measures
+those layers with probes after the timed phase: seeded ``single_pair``
+reads, a two-worker router that mmaps the run's own Enron index (socket
+timing and one crash drill), and the write-path probe of :mod:`layers`.
 """
 
 from __future__ import annotations
@@ -16,31 +22,38 @@ import time
 
 import layers
 from common import (
+    WORK,
     GateFailure,
+    Router,
     Sample,
     check_answer,
+    crash_drill,
     median,
+    percentile,
     reference_value,
     stream_hash,
+    tail_samples,
     truth_matrix,
-    windowed,
 )
 
 NAME = "cold_batch"
 DATASET = "Enron"
 EPSILON = 0.025
 WORKERS = 2
-#: Requests per ``ParallelExecutor.run`` call (one closed-loop step).
-BATCH = 8
+#: Requests per ``ParallelExecutor.run`` call (one closed-loop step):
+#: small enough that a 20 s run has ~14 batches beyond its p95.
+BATCH = 4
 TOP_K_SHARE = 0.7
 K = 10
 #: Node answered by the set-up query; left out of the timed stream so no
 #: source is ever queried twice.
 SETUP_NODE = 0
 GATE_READS = 12
-SETUP_REPEATS = 1
-#: Slices of the timed phase; the throughput is their median.
-WINDOWS = 6
+SETUP_REPEATS = 2
+#: Seeded ``single_pair`` reads of the traced run's pair probe.
+PAIR_PROBE = 50
+#: Health-check period of the traced run's probe router.
+HEALTH_INTERVAL = 0.2
 
 
 def _setup(ctx):
@@ -78,16 +91,21 @@ def _stream(ctx, num_nodes: int):
     return events
 
 
-def _timed(ctx, executor, events, seconds: float, phase: str):
-    """Closed loop of ``BATCH``-sized ``run`` calls for ``seconds``;
-    returns ``(samples, wall, next_position)``."""
+def _timed(ctx, service, executor, events, seconds: float, phase: str,
+           position: int = 0):
+    """Closed loop of ``BATCH``-sized ``run`` calls for ``seconds`` from
+    ``events[position]``; returns ``(samples, wall, next_position)``.
+
+    Should a fast program answer every source, the stream starts over on
+    an emptied cache, so no answer is ever served from the cache."""
     samples = []
-    position = 0
     started = time.perf_counter()
     while time.perf_counter() - started < seconds:
+        if position + BATCH > len(events):
+            service.open_dataset(DATASET).engine().clear_cache()
+            ctx.notes["stream_restarts"] = ctx.notes.get("stream_restarts", 0) + 1
+            position = 0
         batch = events[position:position + BATCH]
-        if len(batch) < BATCH:
-            raise GateFailure("cold stream exhausted before the timed phase ended")
         submitted = time.perf_counter()
         results = executor.run([event.query for event in batch])
         done = time.perf_counter()
@@ -98,10 +116,16 @@ def _timed(ctx, executor, events, seconds: float, phase: str):
     return samples, time.perf_counter() - started, position
 
 
-def _throughput(ctx, samples, wall: float, phase: str) -> float:
-    """Answers per second, median over ``WINDOWS`` slices of the phase."""
-    return windowed(samples, wall, WINDOWS, lambda chunk, width: len(chunk) / width,
-                    ctx.notes, f"{phase}.windows.throughput_qps")
+def _summarise(ctx, samples, phase: str) -> dict:
+    """Throughput and read percentiles over the whole phase."""
+    latencies = [sample.latency * 1000.0 for sample in samples]
+    ctx.notes[f"{phase}.samples"] = len(samples)
+    ctx.notes[f"{phase}.batches_beyond_p95"] = tail_samples(latencies, 95) // BATCH
+    return {
+        "throughput_qps": len(samples) / samples[-1].done,
+        "read_p50_ms": percentile(latencies, 50),
+        "read_p95_ms": percentile(latencies, 95),
+    }
 
 
 def _gate(ctx, service, answered) -> None:
@@ -122,22 +146,90 @@ def _gate(ctx, service, answered) -> None:
             )
 
 
-def _parallel_metrics(tracer) -> dict:
-    """Executor busy share and submit-to-start gap from the traced half."""
-    busy = 0.0
-    wall = 0.0
-    waits = []
-    executes = tracer.named("service.execute")
-    for run in tracer.named("service.parallel.run"):
-        wall += run["end"] - run["start"]
-        for span in executes:
-            if run["start"] <= span["start"] <= run["end"]:
-                busy += span["end"] - span["start"]
-                waits.append(span["start"] - run["start"])
-    return {
-        "service.parallel.efficiency": busy / (WORKERS * wall),
-        "service.parallel.queue_wait_ms": median(waits) * 1000.0,
-    }
+def _pair_probe(ctx, service, num_nodes: int) -> None:
+    """Seeded ``single_pair`` reads (the cold stream has none)."""
+    from repro.service import SinglePairQuery
+
+    rng = random.Random(ctx.seed)
+    with ctx.tracer.span("phase", phase="probe.pairs"):
+        for _ in range(PAIR_PROBE):
+            u, v = rng.sample(range(num_nodes), 2)
+            result = service.execute(SinglePairQuery(DATASET, node_u=u, node_v=v))
+            ctx.phases.record("probe", result.ok, result.error and result.error.code)
+
+
+def _net_probe(ctx, service) -> dict:
+    """Save the run's index, serve it from a two-worker router (mmap), time
+    the socket layers against it and kill its worker once."""
+    from repro.service import SimRankClient, TopKQuery
+    from repro.sling import save_index
+
+    index_dir = WORK / NAME / "index"
+    save_index(service.open_dataset(DATASET).engine().backend.index,
+               index_dir / DATASET)
+    router = Router(NAME, [
+        "--scale", str(ctx.scale), "--epsilon", str(EPSILON), "--seed", "0",
+        "--index-dir", str(index_dir.relative_to(WORK.parent)),
+        "--pin", f"{DATASET}=0", "--health-interval", str(HEALTH_INTERVAL),
+    ])
+    client = None
+    try:
+        router.wait_listening()
+        ready = time.perf_counter() - router.launched
+        client = SimRankClient(address=router.address, timeout=120)
+        hot = TopKQuery(DATASET, node=SETUP_NODE, k=K)
+        first = client.execute(hot)
+        ctx.phases.record("probe", first.ok, first.error and first.error.code)
+        if not first.ok:
+            raise GateFailure(f"probe router failed: {first.error}")
+        metrics = layers.net_metrics(router, 0, hot)
+
+        def same(value):
+            if value != first.value:
+                raise GateFailure(f"{NAME}: answer changed across a restart")
+
+        metrics.update(layers.drill_metrics(
+            ready, crash_drill(ctx, router, client, 0, hot, same)
+        ))
+        router.note_cpu(ctx.host)
+    finally:
+        router.stop(client)
+    return metrics
+
+
+def _traced(ctx, service, executor, events) -> tuple[dict, list]:
+    """Half the timed phase untraced, half traced, then the probes.
+    Returns ``(metrics, answered samples)``."""
+    ctx.uninstrument()
+    plain, _wall, position = _timed(ctx, service, executor, events,
+                                    ctx.seconds / 2, "timed")
+    untraced = _summarise(ctx, plain, "timed")
+    ctx.instrument()
+    with ctx.tracer.span("phase", phase="timed-traced"):
+        traced, _wall, _ = _timed(ctx, service, executor, events,
+                                  ctx.seconds / 2, "timed-traced", position)
+    answered = plain + traced
+    metrics = layers.build_metrics(ctx.tracer, "setup")
+    ctx.check_build_phases(metrics)
+    metrics.update(layers.engine_metrics(service.statistics()["totals"]))
+    metrics.update(layers.parallel_metrics(ctx.tracer, WORKERS, "timed-traced"))
+    metrics["trace.overhead_pct"] = -layers.overhead_pct(
+        untraced["throughput_qps"],
+        _summarise(ctx, traced, "timed-traced")["throughput_qps"],
+    )
+    pushes = ctx.push_calls
+    _pair_probe(ctx, service, service.open_dataset(DATASET).num_nodes)
+    # The latest answered sources are still cached: a hit path for the
+    # client layer.
+    hot = [sample.event.query for sample in traced[-50:]]
+    metrics["service.client.overhead_us"] = layers.client_overhead_us(service, hot)
+    metrics.update(layers.query_metrics(ctx.tracer, pushes))
+    metrics.update(layers.wire_metrics(
+        [s.event for s in answered], [s.result for s in answered]
+    ))
+    metrics.update(_net_probe(ctx, service))
+    metrics.update(layers.write_path_probe(ctx, WORK / NAME / "probe-wal"))
+    return metrics, answered
 
 
 def run(ctx) -> dict:
@@ -154,32 +246,16 @@ def run(ctx) -> dict:
     try:
         events = _stream(ctx, service.open_dataset(DATASET).num_nodes)
         if ctx.trace:
-            ctx.uninstrument()
-            plain, wall, position = _timed(ctx, executor, events, ctx.seconds / 2,
-                                           "timed")
-            plain_qps = _throughput(ctx, plain, wall, "timed")
-            ctx.instrument()
-            with ctx.tracer.span("phase", phase="timed-traced"):
-                traced, wall, _ = _timed(ctx, executor, events[position:],
-                                         ctx.seconds / 2, "timed-traced")
-            answered = plain + traced
-            metrics = layers.build_metrics(ctx.tracer, "setup")
-            ctx.check_build_phases(metrics)
-            metrics.update(layers.query_metrics(ctx.tracer, ctx.push_calls))
-            metrics.update(_parallel_metrics(ctx.tracer))
-            metrics.update(layers.engine_metrics(service.statistics()["totals"]))
-            metrics["trace.overhead_pct"] = -layers.overhead_pct(
-                plain_qps, _throughput(ctx, traced, wall, "timed-traced")
-            )
+            metrics, answered = _traced(ctx, service, executor, events)
         else:
-            answered, wall, _ = _timed(ctx, executor, events, ctx.seconds, "timed")
-            metrics = {
-                "throughput_qps": _throughput(ctx, answered, wall, "timed"),
-                "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                "setup_s": median(setups),
-            }
+            answered, _wall, _ = _timed(ctx, service, executor, events,
+                                        ctx.seconds, "timed")
+            metrics = _summarise(ctx, answered, "timed")
+            metrics["rss_mb"] = (
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            )
+            metrics["setup_s"] = median(setups)
             ctx.notes["setup_runs_s"] = [round(s, 3) for s in setups]
-        ctx.notes["timed.samples"] = len(answered)
         _gate(ctx, service, answered)
     finally:
         executor.close()

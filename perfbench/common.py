@@ -41,16 +41,15 @@ OUT = ROOT / ".perfbench_out"
 #: Named second seed that any later performance claim must also hold on.
 HELD_OUT_SEED = 7919
 
-#: Every metric the benchmark can print, with its unit (``BENCHMARK.json``
-#: lists the same names and units; the self-test checks they agree).
+#: Every metric the benchmark prints, with its unit (``BENCHMARK.json``
+#: lists the same names and units; the self-test checks they agree).  Every
+#: workload prints every end-to-end metric untraced and every per-layer
+#: metric traced.
 END_TO_END_UNITS = {
     "setup_s": "s",
     "throughput_qps": "1/s",
     "read_p50_ms": "ms",
     "read_p95_ms": "ms",
-    "write_p50_ms": "ms",
-    "write_p90_ms": "ms",
-    "recovery_s": "s",
     "rss_mb": "MiB",
 }
 PER_LAYER_UNITS = {
@@ -510,6 +509,44 @@ def wait_gone(pid: int, timeout: float = 10.0) -> None:
         time.sleep(0.005)
 
 
+def crash_drill(ctx, router, client, worker: int, query, check,
+                pause: float = 0.025):
+    """SIGKILL worker ``worker`` and read ``query`` every ``pause`` seconds
+    until it answers ok; ``check(value)`` then gates the answer.
+
+    Returns ``(recovered_s, detect_s, unavailable)``: kill to first good
+    answer, kill to the replacement pid seen, and ``unavailable`` answers
+    in between (expected in the ``recovery`` phase, not failures)."""
+    victim = router.worker_pid(worker)
+    if victim is None:
+        raise GateFailure(f"worker {worker} not found")
+    ctx.host.note_cpu(f"worker-{worker} (killed)", process_cpu_seconds(victim))
+    killed = time.perf_counter()
+    os.kill(victim, signal.SIGKILL)
+    detect = None
+    unavailable = 0
+    deadline = killed + 120.0
+    while True:
+        if detect is None:
+            pid = router.worker_pid(worker)
+            if pid is not None and pid != victim:
+                detect = time.perf_counter() - killed
+        result = client.execute(query)
+        code = result.error.code if result.error else None
+        ctx.phases.record("recovery", result.ok, code)
+        if result.ok:
+            recovered = time.perf_counter() - killed
+            check(result.value)
+            break
+        unavailable += 1
+        if time.perf_counter() > deadline:
+            raise GateFailure(f"worker {worker} did not recover within 120 s")
+        time.sleep(pause)
+    wait_gone(victim)
+    ctx.phases.expect("recovery", "unavailable")
+    return recovered, recovered if detect is None else detect, unavailable
+
+
 # --------------------------------------------------------------------------- #
 # Closed-loop load
 # --------------------------------------------------------------------------- #
@@ -572,21 +609,15 @@ def closed_loop(clients, events, seconds: float, *, on_result=None,
     return [sample for chunk in samples for sample in chunk], wall
 
 
-def windowed(samples, wall: float, windows: int, metric, notes=None,
-             label: str = "") -> float:
-    """Median over ``windows`` equal slices of the timed phase of
-    ``metric(samples_in_slice, slice_seconds)``: a stall shorter than a
-    slice moves one slice's value, not the reported one.  The per-slice
-    values are kept in ``notes[label]`` when given."""
-    width = wall / windows
-    slices: list[list] = [[] for _ in range(windows)]
-    for sample in samples:
-        slices[min(windows - 1, int(sample.done / width))].append(sample)
-    values = [metric(chunk, width) for chunk in slices if chunk]
-    values = [value for value in values if value is not None]
-    if notes is not None:
-        notes[label] = [round(value, 4) for value in values]
-    return median(values)
+def fresh_edges(rng, graph, count: int, avoid=()) -> list[tuple[int, int]]:
+    """``count`` distinct edges absent from ``graph`` and ``avoid``."""
+    edges: list[tuple[int, int]] = []
+    while len(edges) < count:
+        u, v = rng.randrange(graph.num_nodes), rng.randrange(graph.num_nodes)
+        if u != v and not graph.has_edge(u, v) and (u, v) not in avoid \
+                and (u, v) not in edges:
+            edges.append((u, v))
+    return edges
 
 
 # --------------------------------------------------------------------------- #

@@ -6,13 +6,32 @@ wrappers are removed again by ``tracer.unwrap_all()``.  The functions
 below turn the recorded spans into the per-layer metrics named in
 ``BENCHMARK.json``.  Nothing here edits the program: every layer is timed
 at the boundary the program already exposes.
+
+Every traced run prints every per-layer metric.  Where a workload's own
+traffic never reaches a layer, a fixed probe from this file exercises it
+(see :func:`write_path_probe`, :func:`parallel_probe`, :func:`net_metrics`),
+so a value always comes from a measurement, never a placeholder.
 """
 
 from __future__ import annotations
 
+import random
 import time
 
-from common import median
+from common import GateFailure, fresh_edges, median
+
+#: The write-path probe for workloads whose traffic has no writes:
+#: write_mix's dataset and ε, so one mutation costs ~130 ms, not ~1 s.
+PROBE_DATASET = "HepTh"
+PROBE_EPSILON = 0.1
+PROBE_MUTATIONS = 4
+#: The probe mutation that also re-freezes (so recovery replays a
+#: checkpoint plus a tail).
+PROBE_REFREEZE_AT = 1
+#: Reads per differential socket timing probe.
+NET_PROBES = 300
+#: Requests per ``ParallelExecutor.run`` call in the executor probe.
+PARALLEL_BATCH = 8
 
 #: Index query methods timed as ``sling.query.<method>``.
 _INDEX_METHODS = ("single_source", "single_pair", "top_k")
@@ -177,21 +196,168 @@ def engine_metrics(totals: dict) -> dict:
     }
 
 
-def dynamic_metrics(tracer) -> dict:
-    out = {}
-    repairs = tracer.named("sling.dynamic.mutate")
-    if repairs:
-        out["sling.dynamic.repair_ms"] = _ms([s["end"] - s["start"] for s in repairs])
-        out["sling.dynamic.affected_targets"] = median(
+def _in_phase(tracer, name: str, phase: str) -> list[dict]:
+    return [s for s in tracer.named(name) if tracer.inherited(s, "phase") == phase]
+
+
+def _duration(span: dict) -> float:
+    return span["end"] - span["start"]
+
+
+def dynamic_metrics(tracer, phase: str) -> dict:
+    """``sling.dynamic.*`` and ``service.wal.append_ms`` from one phase."""
+    repairs = _in_phase(tracer, "sling.dynamic.mutate", phase)
+    refreezes = _in_phase(tracer, "sling.dynamic.refreeze", phase)
+    appends = _in_phase(tracer, "service.wal.append", phase)
+    if not (repairs and refreezes and appends):
+        raise GateFailure(f"{phase}: the write path was not exercised")
+    return {
+        "sling.dynamic.repair_ms": _ms([_duration(s) for s in repairs]),
+        "sling.dynamic.affected_targets": median(
             [s["affected_targets"] for s in repairs]
-        )
-    refreezes = tracer.durations("sling.dynamic.refreeze")
-    if refreezes:
-        out["sling.dynamic.refreeze_s"] = median(refreezes)
-    appends = tracer.durations("service.wal.append")
-    if appends:
-        out["service.wal.append_ms"] = _ms(appends)
-    return out
+        ),
+        "sling.dynamic.refreeze_s": median([_duration(s) for s in refreezes]),
+        "service.wal.append_ms": _ms([_duration(s) for s in appends]),
+    }
+
+
+def recovery_metrics(tracer, phase: str) -> dict:
+    """``service.mutations.*`` from the one WAL recovery of ``phase``."""
+    (span,) = _in_phase(tracer, "service.mutations.recover", phase)
+    return {
+        "service.mutations.replay_s": _duration(span),
+        "service.mutations.replayed": span["replayed"],
+    }
+
+
+def write_path_probe(ctx, work_dir) -> dict:
+    """Exercise the write path in-process for a workload whose traffic has
+    no writes: ``PROBE_MUTATIONS`` fixed single-edge mutates (WAL append,
+    dynamic repair, one re-freeze) on a WAL-backed service, then a fresh
+    service recovers from that WAL.  Returns the ``sling.dynamic.*``,
+    ``service.wal.append_ms`` and ``service.mutations.*`` metrics."""
+    from repro.engine import BackendConfig
+    from repro.service import ServiceConfig, SimRankService
+    from repro.service.control import MutateRequest
+
+    def service():
+        return SimRankService(ServiceConfig(
+            scale=ctx.scale, seed=0, wal_dir=str(work_dir),
+            backend_config=BackendConfig(epsilon=PROBE_EPSILON),
+        ))
+
+    live = service()
+    try:
+        with ctx.tracer.span("phase", phase="probe.write"):
+            graph = live.open_dataset(PROBE_DATASET).graph
+            edges = fresh_edges(random.Random(0), graph, PROBE_MUTATIONS)
+            for number, edge in enumerate(edges):
+                result = live.execute_request(MutateRequest(
+                    dataset=PROBE_DATASET, add=(edge,),
+                    refreeze=number == PROBE_REFREEZE_AT,
+                    mutation_id=f"probe-{number}",
+                ))
+                ctx.phases.record("probe", result.ok,
+                                  result.error and result.error.code)
+                if not result.ok:
+                    raise GateFailure(f"probe mutate failed: {result.error}")
+    finally:
+        live.close_all()
+    recovered = service()
+    try:
+        with ctx.tracer.span("phase", phase="probe.recover"):
+            recovered.open_dataset(PROBE_DATASET)
+    finally:
+        recovered.close_all()
+    metrics = dynamic_metrics(ctx.tracer, "probe.write")
+    metrics.update(recovery_metrics(ctx.tracer, "probe.recover"))
+    return metrics
+
+
+def parallel_metrics(tracer, workers: int, phase: str) -> dict:
+    """Executor busy share and submit-to-start gap of the
+    ``ParallelExecutor.run`` calls made in ``phase``."""
+    busy = 0.0
+    wall = 0.0
+    waits = []
+    executes = tracer.named("service.execute")
+    for run in _in_phase(tracer, "service.parallel.run", phase):
+        wall += _duration(run)
+        for span in executes:
+            if run["start"] <= span["start"] <= run["end"]:
+                busy += _duration(span)
+                waits.append(span["start"] - run["start"])
+    if not waits:
+        raise GateFailure(f"{phase}: no executor work was traced")
+    return {
+        "service.parallel.efficiency": busy / (workers * wall),
+        "service.parallel.queue_wait_ms": median(waits) * 1000.0,
+    }
+
+
+def parallel_probe(ctx, service, queries, workers: int = 2) -> dict:
+    """Run ``queries`` through ``ParallelExecutor(workers)`` in batches of
+    ``PARALLEL_BATCH`` (for workloads that never call the executor)."""
+    from repro.service import ParallelExecutor
+
+    executor = ParallelExecutor(service, workers=workers)
+    try:
+        with ctx.tracer.span("phase", phase="probe.parallel"):
+            for start in range(0, len(queries), PARALLEL_BATCH):
+                for result in executor.run(queries[start:start + PARALLEL_BATCH]):
+                    ctx.phases.record("probe", result.ok,
+                                      result.error and result.error.code)
+    finally:
+        executor.close()
+    return parallel_metrics(ctx.tracer, workers, "probe.parallel")
+
+
+def net_metrics(router, worker: int, hot_query) -> dict:
+    """Differential socket timing against a live router and its worker
+    ``worker``, which must hold ``hot_query`` in its cache: worker ``ping``
+    p50, direct cached read minus ping, routed read minus direct read."""
+    from repro.service import SimRankClient
+    from repro.service.control import PingRequest
+
+    direct = SimRankClient(address=router.worker_address(worker), timeout=60)
+    via = SimRankClient(address=router.address, timeout=60)
+    try:
+        for client in (direct, via):
+            result = client.execute(hot_query)
+            if not result.ok:
+                raise GateFailure(f"net probe failed: {result.error}")
+        pings, direct_reads, routed_reads = [], [], []
+        for _ in range(NET_PROBES):
+            start = time.perf_counter()
+            direct.execute(PingRequest())
+            pings.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            direct.execute(hot_query)
+            direct_reads.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            via.execute(hot_query)
+            routed_reads.append(time.perf_counter() - start)
+    finally:
+        direct.close()
+        via.close()
+    transport = _ms(pings)
+    worker_ms = _ms(direct_reads)
+    return {
+        "service.net.transport_ms": transport,
+        "service.net.worker_ms": worker_ms - transport,
+        "service.net.router_hop_ms": _ms(routed_reads) - worker_ms,
+    }
+
+
+def drill_metrics(ready_s: float, drill) -> dict:
+    """``service.net.{spawn_ready_s,detect_s,unavailable}`` from a router's
+    launch-to-hello time and one :func:`common.crash_drill` result."""
+    _recovered, detect, unavailable = drill
+    return {
+        "service.net.spawn_ready_s": ready_s,
+        "service.net.detect_s": detect,
+        "service.net.unavailable": float(unavailable),
+    }
 
 
 def wire_metrics(events, results) -> dict:

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload serve_zipf --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload write_mix --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics of ``BENCHMARK.json``;
 ``--trace 1`` is a separate run that prints the per-layer metrics, with
@@ -41,7 +41,7 @@ from common import (  # noqa: E402 - needs the path above
 )
 import layers  # noqa: E402
 
-WORKLOADS = ("serve_zipf", "cold_batch", "write_mix")
+WORKLOADS = ("cold_batch", "write_mix")
 #: Tolerance on (correction + push + pack) / outside-timed build.
 BUILD_PHASE_TOLERANCE = 0.05
 
@@ -163,12 +163,15 @@ def main(argv=None) -> int:
     failed = ctx.phases.failed()
     if error is None and failed:
         error = f"{failed} operation(s) failed outside expected windows"
+    units = PER_LAYER_UNITS if ctx.trace else END_TO_END_UNITS
+    if error is None and set(metrics) != set(units):
+        error = (f"metrics missing {sorted(set(units) - set(metrics))}, "
+                 f"unknown {sorted(set(metrics) - set(units))}")
     if error is not None:
         print(error, file=sys.stderr)
         _emit({"correct": False, "attempted": max(1, ctx.phases.attempted()),
                "failed": max(1, failed), "metrics": {}})
         return 1
-    units = PER_LAYER_UNITS if ctx.trace else END_TO_END_UNITS
     _emit({
         "correct": True,
         "attempted": ctx.phases.attempted(),

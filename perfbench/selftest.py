@@ -8,8 +8,9 @@ It checks that
 
 * ``BENCHMARK.json`` and the harness agree on every metric name and unit;
 * every workload, untraced and traced, at a tiny dataset scale, passes its
-  correctness gate and prints every metric it owns, each with its unit,
-  followed by the one-line result the contract asks for;
+  correctness gate and prints every end-to-end (untraced) or per-layer
+  (traced) metric, each with its unit and a finite value, in the one-line
+  result the contract asks for;
 * the correctness gates fail when fed a perturbed answer.
 
 Exits 0 when everything holds, 1 otherwise.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import types
@@ -36,48 +38,9 @@ from common import (  # noqa: E402 - needs the path above
     check_answer,
 )
 
-#: Which metrics each workload prints, untraced and traced.
-OWNED = {
-    "serve_zipf": (
-        ["setup_s", "throughput_qps", "read_p50_ms", "read_p95_ms", "rss_mb"],
-        ["graphs.load_s", "sling.build.correction_s", "sling.build.push_s",
-         "sling.build.pack_s", "sling.build.total_s", "sling.build.entries",
-         "sling.index_mb", "sling.query.single_source_ms",
-         "sling.query.top_k_ms", "sling.query.single_pair_ms",
-         "sling.query.push_frontier_calls", "engine.hit_rate",
-         "engine.evictions", "engine.invalidations", "engine.backend_ms",
-         "service.execute_us", "service.wire.encode_us",
-         "service.wire.decode_us", "service.net.transport_ms",
-         "service.net.worker_ms", "service.net.router_hop_ms",
-         "service.net.spawn_ready_s", "service.client.overhead_us",
-         "trace.overhead_pct"],
-    ),
-    "cold_batch": (
-        ["setup_s", "throughput_qps", "rss_mb"],
-        ["graphs.load_s", "sling.build.correction_s", "sling.build.push_s",
-         "sling.build.pack_s", "sling.build.total_s", "sling.build.entries",
-         "sling.index_mb", "sling.query.single_source_ms",
-         "sling.query.top_k_ms", "sling.query.push_frontier_calls",
-         "engine.hit_rate", "engine.evictions", "engine.invalidations",
-         "engine.backend_ms", "service.parallel.efficiency",
-         "service.parallel.queue_wait_ms", "trace.overhead_pct"],
-    ),
-    "write_mix": (
-        ["setup_s", "read_p50_ms", "write_p50_ms", "write_p90_ms",
-         "recovery_s", "rss_mb"],
-        ["graphs.load_s", "sling.build.correction_s", "sling.build.push_s",
-         "sling.build.pack_s", "sling.build.total_s", "sling.build.entries",
-         "sling.index_mb", "sling.query.single_source_ms",
-         "sling.query.top_k_ms", "sling.query.single_pair_ms",
-         "sling.query.push_frontier_calls", "sling.dynamic.repair_ms",
-         "sling.dynamic.affected_targets", "sling.dynamic.refreeze_s",
-         "engine.hit_rate", "engine.evictions", "engine.invalidations",
-         "engine.backend_ms", "service.execute_us", "service.wal.append_ms",
-         "service.mutations.replay_s", "service.mutations.replayed",
-         "service.net.spawn_ready_s", "service.net.detect_s",
-         "service.net.unavailable", "trace.overhead_pct"],
-    ),
-}
+#: Every workload prints every end-to-end metric untraced and every
+#: per-layer metric traced.
+WORKLOADS = ("cold_batch", "write_mix")
 SCALE = "0.3"
 
 
@@ -89,22 +52,13 @@ def check_spec(problems: list[str]) -> None:
     declared = {m["name"]: m["unit"] for m in spec["per_layer"]}
     if declared != PER_LAYER_UNITS:
         problems.append("per_layer units differ from the harness")
-    if sorted(w["name"] for w in spec["workloads"]) != sorted(OWNED):
+    if sorted(w["name"] for w in spec["workloads"]) != sorted(WORKLOADS):
         problems.append("BENCHMARK.json workloads differ from the harness")
-    for workload, (e2e, layer) in OWNED.items():
-        for name in e2e:
-            if name not in END_TO_END_UNITS:
-                problems.append(f"{workload}: {name} is not an end-to-end metric")
-        for name in layer:
-            if name not in PER_LAYER_UNITS:
-                problems.append(f"{workload}: {name} is not a per-layer metric")
 
 
 def check_runs(problems: list[str]) -> None:
-    for workload, owned in OWNED.items():
-        for trace, (expected, units) in enumerate(
-            zip(owned, (END_TO_END_UNITS, PER_LAYER_UNITS))
-        ):
+    for workload in WORKLOADS:
+        for trace, units in enumerate((END_TO_END_UNITS, PER_LAYER_UNITS)):
             command = [
                 sys.executable, str(HERE / "run.py"), "--workload", workload,
                 "--seed", "1", "--seconds", "1", "--trace", str(trace),
@@ -123,14 +77,17 @@ def check_runs(problems: list[str]) -> None:
             if result["correct"] is not True or result["failed"] != 0:
                 problems.append(f"{label}: gate or failures: {result}")
             metrics = result["metrics"]
-            for name in expected:
+            for name, unit in units.items():
                 if name not in metrics:
                     problems.append(f"{label}: {name} missing")
-                elif metrics[name]["unit"] != units[name]:
+                    continue
+                if metrics[name]["unit"] != unit:
                     problems.append(f"{label}: {name} has unit {metrics[name]['unit']}")
-            extra = set(metrics) - set(expected)
+                if not math.isfinite(metrics[name]["value"]):
+                    problems.append(f"{label}: {name} is {metrics[name]['value']}")
+            extra = set(metrics) - set(units)
             if extra:
-                problems.append(f"{label}: unowned metrics {sorted(extra)}")
+                problems.append(f"{label}: unknown metrics {sorted(extra)}")
             print(f"ok  {label}: {len(metrics)} metrics", flush=True)
 
 

@@ -5,13 +5,17 @@ One closed-loop connection replays a seeded stream over the HepTh stand-in
 (fsync'd to the WAL before its ack).  After the timed phase the benchmark
 brings the WAL to a fixed shape — one re-freezing compaction whose
 checkpoint holds exactly ``CHECKPOINT_EDGES`` fixed edges, then ``TAIL``
-fixed single-edge mutations — reads a few probe answers, and SIGKILLs the owning worker
-``DRILLS`` times in a row (recovery leaves the WAL as it found it, so each
-drill replays the same work).  A drill's recovery time runs from the kill
-to the first read that answers ok and matches its pre-crash value within
-``eps_stale``; ``recovery_s`` is the median drill.  The router runs with a
-``HEALTH_INTERVAL`` of 0.2 s, so detection adds almost nothing; it is
-reported on its own as ``service.net.detect_s``.
+fixed single-edge mutations — reads a few probe answers, and SIGKILLs the
+owning worker once.  The recovered worker must answer every probe within
+``eps_stale`` of its pre-crash value.  The recovery time (kill to the first
+good answer) is printed beside the metrics; the router runs with a
+``HEALTH_INTERVAL`` of 0.2 s, so detection adds almost nothing, and it is
+reported on its own as ``service.net.detect_s`` by a traced run.
+
+``throughput_qps`` counts reads and writes; with one write in ten at
+~130 ms each, the writes take most of the timed phase, so the write path
+(dynamic repair, WAL fsync, invalidation) sets it.  ``read_p50_ms`` and
+``read_p95_ms`` are the reads between the writes.
 
 The stream itself carries no re-freeze: a ~2 s re-freeze inside the timed
 window would take the time of ~15 writes away from the write percentiles,
@@ -21,10 +25,8 @@ and the number landing in a run would depend on host speed.
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 import shutil
-import signal
 import time
 
 import layers
@@ -34,14 +36,13 @@ from common import (
     Router,
     check_answer,
     closed_loop,
+    crash_drill,
+    fresh_edges,
     median,
     percentile,
-    process_cpu_seconds,
     stream_hash,
     tail_samples,
     truth_matrix,
-    wait_gone,
-    windowed,
 )
 
 NAME = "write_mix"
@@ -50,8 +51,12 @@ EPSILON = 0.1
 WORKER = 0
 HEALTH_INTERVAL = 0.2
 MUTATION_FRACTION = 0.1
+#: The timed stream holds one mutate in every ``WRITE_EVERY`` events.
+WRITE_EVERY = 10
 WARMUP_EVENTS = 100
-STREAM_EVENTS = 20000
+#: Generated events: ~25 times what a 20 s timed phase replays today, so a
+#: much faster write path still finds the stream long enough.
+STREAM_EVENTS = 50000
 #: Edges the pre-crash compaction leaves in the checkpoint.
 CHECKPOINT_EDGES = 2
 #: Single-edge mutations acknowledged after the checkpoint.
@@ -60,16 +65,13 @@ TAIL = 4
 #: so every run's recovery replays identical work whatever its stream.
 DRILL_SEED = 0
 PROBE_NODES = 3
-#: Crash drills per run (the WAL is left unchanged by recovery, so each
-#: replays the same work); ``recovery_s`` is their median.
-DRILLS = 3
 #: Pause between recovery probes, so probing does not compete for the CPU
 #: the recovering worker needs.
 PROBE_PAUSE = 0.025
-#: Slices of the timed phase; the read p50 is their median.
-WINDOWS = 6
 GATE_READS = 8
-SETUP_REPEATS = 2
+SETUP_REPEATS = 3
+#: Replayed reads the traced run re-runs through ``ParallelExecutor``.
+PARALLEL_PROBE = 200
 
 
 def _code(result):
@@ -131,28 +133,31 @@ def _stream(ctx, num_nodes: int):
         num_queries=STREAM_EVENTS, seed=ctx.seed,
         mutation_fraction=MUTATION_FRACTION, mutation_batch=1,
     ))
-    ctx.streams[NAME] = stream_hash(events)
+    # Lay the generated reads and mutates out as exactly one mutate in every
+    # WRITE_EVERY events (each keeps its order): a stream whose writes come
+    # in clumps would make the share of the timed phase spent writing, and
+    # so every figure, depend on the seed.
+    reads = [event for event in events if event.kind != "mutate"]
+    mutates = [event for event in events if event.kind == "mutate"]
+    rounds = min(len(reads) // (WRITE_EVERY - 1), len(mutates))
+    laid_out = []
+    for number in range(rounds):
+        laid_out += reads[number * (WRITE_EVERY - 1):(number + 1) * (WRITE_EVERY - 1)]
+        laid_out.append(mutates[number])
     # Every mutate carries an idempotency token derived from its position,
     # so the WAL can be checked for each acknowledged id.
-    return [
+    laid_out = [
         dataclasses.replace(
             event,
+            index=index,
             query=dataclasses.replace(
-                event.query, mutation_id=f"wm-{ctx.seed}-{event.index}"
-            ),
-        ) if event.kind == "mutate" else event
-        for event in events
+                event.query, mutation_id=f"wm-{ctx.seed}-{index}"
+            ) if event.kind == "mutate" else event.query,
+        )
+        for index, event in enumerate(laid_out)
     ]
-
-
-def _fresh_edges(rng, graph, count: int, avoid=()):
-    edges = []
-    while len(edges) < count:
-        u, v = rng.randrange(graph.num_nodes), rng.randrange(graph.num_nodes)
-        if u != v and not graph.has_edge(u, v) and (u, v) not in avoid \
-                and (u, v) not in edges:
-            edges.append((u, v))
-    return edges
+    ctx.streams[NAME] = stream_hash(laid_out)
+    return laid_out
 
 
 def _shape_wal(ctx, client, writes, rng):
@@ -161,8 +166,8 @@ def _shape_wal(ctx, client, writes, rng):
     mutations.  Returns ``(sorted D, requests sent)``."""
     from repro.service.control import MutateRequest
 
-    checkpoint = set(_fresh_edges(rng, writes.base, CHECKPOINT_EDGES))
-    tail = _fresh_edges(rng, writes.base, TAIL, avoid=checkpoint)
+    checkpoint = set(fresh_edges(rng, writes.base, CHECKPOINT_EDGES))
+    tail = fresh_edges(rng, writes.base, TAIL, avoid=checkpoint)
     target = set(writes.base.edges()) | checkpoint
     now = set(writes.graph.edges())
     requests = [MutateRequest(
@@ -183,44 +188,6 @@ def _shape_wal(ctx, client, writes, rng):
             raise GateFailure(f"pre-crash mutate failed: {result.error}")
         writes.note(request, result)
     return sorted(checkpoint), requests
-
-
-def _crash_and_recover(ctx, router, client, probes):
-    """SIGKILL the owning worker; time until a probe read answers ok and
-    matches its pre-crash value within ``eps_stale``."""
-    from repro.service import SingleSourceQuery
-
-    node, before, tolerance = probes[0]
-    query = SingleSourceQuery(DATASET, node=node)
-    victim = router.worker_pid(WORKER)
-    if victim is None:
-        raise GateFailure("owning worker not found")
-    ctx.host.note_cpu(f"worker-{WORKER} (killed)", process_cpu_seconds(victim))
-    killed = time.perf_counter()
-    os.kill(victim, signal.SIGKILL)
-    detect = None
-    unavailable = 0
-    deadline = killed + 120.0
-    while True:
-        if detect is None:
-            pid = router.worker_pid(WORKER)
-            if pid is not None and pid != victim:
-                detect = time.perf_counter() - killed
-        result = client.execute(query)
-        ctx.phases.record("recovery", result.ok, _code(result))
-        if result.ok:
-            recovered = time.perf_counter() - killed
-            _match(before, result.value, tolerance, node)
-            break
-        unavailable += 1
-        if time.perf_counter() > deadline:
-            raise GateFailure("worker did not recover within 120 s")
-        time.sleep(PROBE_PAUSE)
-    wait_gone(victim)
-    ctx.phases.expect("recovery", "unavailable")
-    if detect is None:
-        detect = recovered
-    return recovered, detect, unavailable
 
 
 def _match(before, after, tolerance: float, node: int) -> None:
@@ -267,34 +234,29 @@ def _gate_reads(ctx, client, writes, events, rng) -> None:
 
 
 def _summarise(ctx, samples, wall, phase: str) -> dict:
-    """Read p50 (median over ``WINDOWS`` slices) and write p50/p90 over
-    the whole timed phase (writes are too few to slice)."""
+    """Throughput and read percentiles over the whole phase; the write
+    percentiles go to the notes."""
     writes = []
     for sample in samples:
         ctx.phases.record(phase, sample.result.ok, _code(sample.result))
         if sample.event.kind == "mutate":
             writes.append(sample.latency * 1000.0)
-    reads = len(samples) - len(writes)
+    reads = [s.latency * 1000.0 for s in samples if s.event.kind != "mutate"]
     hits = sum(1 for s in samples if s.event.kind != "mutate" and s.result.cache_hit)
-    ctx.notes[f"{phase}.reads"] = reads
-    ctx.notes[f"{phase}.read_hit_share"] = round(hits / max(1, reads), 4)
-    ctx.notes[f"{phase}.read_quartiles_ms"] = [round(percentile(
-        [s.latency * 1000.0 for s in samples if s.event.kind != "mutate"], q), 3)
-        for q in (25, 50, 75)]
+    ctx.notes[f"{phase}.reads"] = len(reads)
+    ctx.notes[f"{phase}.read_hit_share"] = round(hits / max(1, len(reads)), 4)
     ctx.notes[f"{phase}.writes"] = len(writes)
-    if len(writes) < 2 or not reads:
+    if len(writes) < 2 or len(reads) < 2:
         raise GateFailure(f"{NAME}: only {len(writes)} writes in {phase}")
-    ctx.notes[f"{phase}.beyond_write_p90"] = tail_samples(writes, 90)
-
-    def read_p50(chunk, _width):
-        latencies = [s.latency * 1000.0 for s in chunk if s.event.kind != "mutate"]
-        return percentile(latencies, 50) if latencies else None
+    ctx.notes[f"{phase}.beyond_read_p95"] = tail_samples(reads, 95)
+    ctx.notes[f"{phase}.write_p50_p90_ms"] = [
+        round(percentile(writes, q), 3) for q in (50, 90)
+    ]
 
     return {
-        "read_p50_ms": windowed(samples, wall, WINDOWS, read_p50, ctx.notes,
-                                f"{phase}.windows.read_p50_ms"),
-        "write_p50_ms": percentile(writes, 50),
-        "write_p90_ms": percentile(writes, 90),
+        "throughput_qps": len(samples) / wall,
+        "read_p50_ms": percentile(reads, 50),
+        "read_p95_ms": percentile(reads, 95),
     }
 
 
@@ -302,6 +264,7 @@ def _in_process_layers(ctx, requests, copy_dir) -> dict:
     """Replay the same requests in-process with every layer wrapped, then
     recover a fresh service from a copy of the crashed worker's WAL."""
     from repro.engine import BackendConfig
+    from repro.evaluation.traffic import TrafficEvent
     from repro.service import ServiceConfig, SimRankService
 
     def service(wal_dir):
@@ -311,21 +274,38 @@ def _in_process_layers(ctx, requests, copy_dir) -> dict:
         ))
 
     replica = service(WORK / NAME / "replay-wal")
-    with ctx.tracer.span("phase", phase="replay"):
-        for request in requests:
-            replica.execute_request(request)
-    metrics = layers.build_metrics(ctx.tracer, "replay")
-    ctx.check_build_phases(metrics)
-    metrics.update(layers.dynamic_metrics(ctx.tracer))
-    metrics.update(layers.query_metrics(ctx.tracer, ctx.push_calls))
-    replica.close_all()
+    try:
+        results = []
+        with ctx.tracer.span("phase", phase="replay"):
+            for request in requests:
+                results.append(replica.execute_request(request))
+        metrics = layers.build_metrics(ctx.tracer, "replay")
+        ctx.check_build_phases(metrics)
+        metrics.update(layers.dynamic_metrics(ctx.tracer, "replay"))
+        metrics.update(layers.query_metrics(ctx.tracer, ctx.push_calls))
+        reads = [(request, result) for request, result in zip(requests, results)
+                 if request.kind != "mutate"]
+        metrics.update(layers.wire_metrics(
+            [TrafficEvent(index=i, phase="steady", query=request)
+             for i, (request, _) in enumerate(reads)],
+            [result for _, result in reads],
+        ))
+        hot = [request for request, result in reads if result.cache_hit][-50:]
+        metrics["service.client.overhead_us"] = layers.client_overhead_us(
+            replica, hot
+        )
+        metrics.update(layers.parallel_probe(
+            ctx, replica, [request for request, _ in reads][-PARALLEL_PROBE:]
+        ))
+    finally:
+        replica.close_all()
     recovered = service(copy_dir)
-    with ctx.tracer.span("phase", phase="recover"):
-        recovered.open_dataset(DATASET)
-    (span,) = ctx.tracer.named("service.mutations.recover")
-    metrics["service.mutations.replay_s"] = span["end"] - span["start"]
-    metrics["service.mutations.replayed"] = span["replayed"]
-    recovered.close_all()
+    try:
+        with ctx.tracer.span("phase", phase="recover"):
+            recovered.open_dataset(DATASET)
+    finally:
+        recovered.close_all()
+    metrics.update(layers.recovery_metrics(ctx.tracer, "recover"))
     return metrics
 
 
@@ -390,23 +370,28 @@ def run(ctx) -> dict:
             probes.append((node, result.value, writes.eps_stale))
         rss = router.rss_mb()
 
-        drills = []
-        for _ in range(DRILLS):
-            drills.append(_crash_and_recover(ctx, router, client, probes))
-            for node, before, tolerance in probes[1:]:
-                result = client.execute(SingleSourceQuery(DATASET, node=node))
-                ctx.phases.record("gate", result.ok, _code(result))
-                if not result.ok:
-                    raise GateFailure(f"post-recovery probe failed: {result.error}")
-                _match(before, result.value, tolerance, node)
-        recovered, detect, unavailable = (median(column) for column in zip(*drills))
-        ctx.notes["recovery_runs_s"] = [round(drill[0], 3) for drill in drills]
+        node, before, tolerance = probes[0]
+        hot = SingleSourceQuery(DATASET, node=node)
+        drill_result = crash_drill(
+            ctx, router, client, WORKER, hot,
+            lambda value: _match(before, value, tolerance, node),
+            pause=PROBE_PAUSE,
+        )
+        ctx.notes["recovery_s"] = round(drill_result[0], 4)
+        for node, before, tolerance in probes[1:]:
+            result = client.execute(SingleSourceQuery(DATASET, node=node))
+            ctx.phases.record("gate", result.ok, _code(result))
+            if not result.ok:
+                raise GateFailure(f"post-recovery probe failed: {result.error}")
+            _match(before, result.value, tolerance, node)
         copy_dir = WORK / NAME / "wal-copy"
         shutil.copytree(WORK / NAME / "wal", copy_dir)
         replayed = _check_wal(copy_dir, writes, checkpoint)
         ctx.notes["wal.replayed_records"] = replayed
         ctx.notes["acked_mutations"] = len(writes.acked)
         _gate_reads(ctx, client, writes, events[:executed], random.Random(ctx.seed))
+        if ctx.trace:
+            metrics.update(layers.net_metrics(router, WORKER, hot))
         router.note_cpu(ctx.host)
     finally:
         router.stop(client)
@@ -415,11 +400,8 @@ def run(ctx) -> dict:
         requests = [e.query for e in events[:executed]] + shaped
         metrics.update(_in_process_layers(ctx, requests, copy_dir))
         metrics.update(layers.engine_metrics(stats))
-        metrics["service.net.spawn_ready_s"] = ready
-        metrics["service.net.detect_s"] = detect
-        metrics["service.net.unavailable"] = unavailable
+        metrics.update(layers.drill_metrics(ready, drill_result))
         return metrics
-    metrics["recovery_s"] = recovered
     metrics["setup_s"] = median(setups)
     metrics["rss_mb"] = rss
     ctx.notes["setup_runs_s"] = [round(s, 3) for s in setups]
