@@ -28,7 +28,6 @@ from ..baselines import (
     MonteCarloIndex,
     PowerMethod,
     SqrtCMonteCarloIndex,
-    iterations_for_error,
     naive_simrank,
 )
 from ..exceptions import IndexNotBuiltError, ParameterError
@@ -324,8 +323,46 @@ def create_backend(
 # --------------------------------------------------------------------------- #
 # SLING adapters
 # --------------------------------------------------------------------------- #
+class _SlingAdapter(SimilarityBackend):
+    """The query methods both SLING backends share.
+
+    ``self._index`` is the wrapped index (:class:`SlingIndex`,
+    :class:`DynamicSlingIndex` or :class:`DiskBackedIndex`); all three serve
+    the same :class:`~repro.sling.queries.SlingQueries` surface, so the
+    adapters differ only in how they build and account for it.
+    """
+
+    _index: SlingIndex | DynamicSlingIndex | DiskBackedIndex
+
+    @property
+    def packed_store(self):
+        """The frozen columnar store the index answers queries from."""
+        self._require_built()
+        return self._index.packed_store
+
+    def single_pair(self, node_u: int, node_v: int) -> float:
+        self._require_built()
+        return self._index.single_pair(node_u, node_v)
+
+    def single_source(self, node: int, *, method: str = "local_push") -> np.ndarray:
+        self._require_built()
+        return self._index.single_source(node, method=method)
+
+    def top_k(self, node: int, k: int) -> list[tuple[int, float]]:
+        """Top-k honouring ``config.sling_topk_mode`` ("exact" or "bounded").
+
+        Skips the generic adapter's defensive copy — SLING ``single_source``
+        always returns fresh storage.
+        """
+        self._require_built()
+        mode = self._config.sling_topk_mode
+        return self._index.top_k(
+            node, k, method="bounded" if mode == "bounded" else "local_push"
+        )
+
+
 @register_backend
-class SlingBackend(SimilarityBackend):
+class SlingBackend(_SlingAdapter):
     """In-memory :class:`SlingIndex` behind the backend protocol."""
 
     info = BackendInfo(
@@ -339,52 +376,17 @@ class SlingBackend(SimilarityBackend):
 
     def __init__(self, graph: DiGraph, config: BackendConfig | None = None) -> None:
         super().__init__(graph, config)
-        cfg = self._config
-        self._index = SlingIndex(
-            graph,
-            c=cfg.c,
-            epsilon=cfg.epsilon,
-            seed=cfg.seed,
-            reduce_space=cfg.sling_reduce_space,
-            enhance_accuracy=cfg.sling_enhance_accuracy,
-        )
+        self._index = _sling_index(graph, self._config)
 
     @property
     def index(self) -> SlingIndex:
         """The wrapped SLING index (build statistics, parameters, ...)."""
         return self._index
 
-    @property
-    def packed_store(self):
-        """The frozen columnar store the index answers queries from."""
-        self._require_built()
-        return self._index.packed_store
-
     def build(self) -> "SlingBackend":
         self._index.build()
         self._built = True
         return self
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        self._require_built()
-        return self._index.single_pair(node_u, node_v)
-
-    def single_source(self, node: int, *, method: str = "local_push") -> np.ndarray:
-        self._require_built()
-        return self._index.single_source(node, method=method)
-
-    def top_k(self, node: int, k: int) -> list[tuple[int, float]]:
-        """Top-k honouring ``config.sling_topk_mode`` ("exact" or "bounded").
-
-        Both modes delegate to :meth:`SlingIndex.top_k`, which skips the
-        generic adapter's defensive copy — ``SlingIndex.single_source``
-        always returns fresh storage.
-        """
-        self._require_built()
-        mode = self._config.sling_topk_mode
-        return self._index.top_k(
-            node, k, method="bounded" if mode == "bounded" else "local_push"
-        )
 
     # ------------------------------------------------------------------ #
     # Mutation protocol
@@ -448,7 +450,7 @@ class SlingBackend(SimilarityBackend):
 
 
 @register_backend
-class DiskSlingBackend(SimilarityBackend):
+class DiskSlingBackend(_SlingAdapter):
     """SLING with hitting sets on disk: build, persist, then query via
     :class:`DiskBackedIndex` so only the correction factors stay resident."""
 
@@ -465,7 +467,6 @@ class DiskSlingBackend(SimilarityBackend):
         super().__init__(graph, config)
         self._tempdir: tempfile.TemporaryDirectory | None = None
         self._directory: Path | None = None
-        self._disk_index: DiskBackedIndex | None = None
         self._total_index_bytes = 0
 
     @property
@@ -479,13 +480,7 @@ class DiskSlingBackend(SimilarityBackend):
     def disk_index(self) -> DiskBackedIndex:
         """The wrapped disk-backed reader (I/O accounting, parameters)."""
         self._require_built()
-        assert self._disk_index is not None
-        return self._disk_index
-
-    @property
-    def packed_store(self):
-        """The memory-mapped columnar store backing the disk index."""
-        return self.disk_index.store
+        return self._index
 
     def build(self) -> "DiskSlingBackend":
         cfg = self._config
@@ -501,34 +496,13 @@ class DiskSlingBackend(SimilarityBackend):
                 path.stat().st_size for path in directory.glob("*.npy")
             )
         else:
-            index = SlingIndex(
-                self._graph, c=cfg.c, epsilon=cfg.epsilon, seed=cfg.seed
-            ).build()
+            index = _sling_index(self._graph, cfg).build()
             save_index(index, directory)
             self._total_index_bytes = index.index_size_bytes()
         self._directory = directory
-        self._disk_index = DiskBackedIndex(directory, self._graph)
+        self._index = DiskBackedIndex(directory, self._graph)
         self._built = True
         return self
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        self._require_built()
-        assert self._disk_index is not None
-        return self._disk_index.single_pair(node_u, node_v)
-
-    def single_source(self, node: int) -> np.ndarray:
-        self._require_built()
-        assert self._disk_index is not None
-        return self._disk_index.single_source(node)
-
-    def top_k(self, node: int, k: int) -> list[tuple[int, float]]:
-        """Top-k honouring ``config.sling_topk_mode`` ("exact" or "bounded")."""
-        self._require_built()
-        assert self._disk_index is not None
-        mode = self._config.sling_topk_mode
-        return self._disk_index.top_k(
-            node, k, method="bounded" if mode == "bounded" else "local_push"
-        )
 
     def index_size_bytes(self) -> int:
         """Total size of the packed index, like every other backend."""
@@ -543,6 +517,18 @@ class DiskSlingBackend(SimilarityBackend):
         """
         self._require_built()
         return 8 * self._graph.num_nodes
+
+
+def _sling_index(graph: DiGraph, config: BackendConfig) -> SlingIndex:
+    """An unbuilt :class:`SlingIndex` with the config's SLING knobs."""
+    return SlingIndex(
+        graph,
+        c=config.c,
+        epsilon=config.epsilon,
+        seed=config.seed,
+        reduce_space=config.sling_reduce_space,
+        enhance_accuracy=config.sling_enhance_accuracy,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -734,8 +720,3 @@ class LinearizeBackend(_MethodBackend):
     def _make_method(self) -> LinearizeIndex:
         cfg = self._config
         return LinearizeIndex(self._graph, c=cfg.c, seed=cfg.seed)
-
-
-def naive_iteration_count(config: BackendConfig) -> int:
-    """Iterations :class:`NaiveBackend` will run for its configured accuracy."""
-    return iterations_for_error(config.c, config.epsilon)

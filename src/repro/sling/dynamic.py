@@ -62,22 +62,21 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import IndexNotBuiltError, ParameterError
 from ..graphs import DiGraph
-from ..ranking import rank_top_k
 from .correction import (
     estimate_all_correction_factors,
     estimate_correction_factor,
 )
 from .hitting import reverse_push
 from .index import SlingIndex
-from .packed import PackedHittingStore, QueryView, intersect_views
+from .packed import PackedHittingStore, QueryView
 from .parameters import SlingParameters
-from .single_source import single_source_cascade, single_source_local_push
+from .queries import SlingQueries, store_level_bounds
 from .walks import SqrtCWalker
 
 __all__ = ["DynamicSlingIndex", "MutationReport"]
@@ -108,9 +107,17 @@ class MutationReport:
 
 
 class _Generation:
-    """One immutable serving state; queries hold a reference, never a lock."""
+    """One immutable serving state; queries hold a reference, never a lock.
 
-    __slots__ = ("graph", "store", "corrections", "overlay", "version", "dirty")
+    It is the :class:`~repro.sling.queries.SlingQueries` serving snapshot
+    of a :class:`DynamicSlingIndex`: a query grabs one generation and reads
+    only it.
+    """
+
+    __slots__ = (
+        "graph", "store", "corrections", "overlay", "version", "dirty",
+        "parameters", "_correction_max",
+    )
 
     def __init__(
         self,
@@ -120,6 +127,7 @@ class _Generation:
         overlay: _Overlay,
         version: int,
         dirty: bool,
+        parameters: SlingParameters,
     ) -> None:
         self.graph = graph
         self.store = store
@@ -130,15 +138,44 @@ class _Generation:
         #: drives the reported staleness bound even when a batch produced
         #: an empty overlay (e.g. only a correction factor changed).
         self.dirty = dirty
+        self.parameters = parameters
+        self._correction_max: float | None = None
+
+    def view(self, node: int) -> QueryView:
+        """The node's store slice with its overlay patch composed."""
+        node = int(node)
+        self.graph.in_degree(node)  # validates the node id
+        view = self.store.node_view(node)
+        patch = self.overlay.get(node)
+        if patch:
+            view = view.override(
+                (level, target, value)
+                for (level, target), value in patch.items()
+            )
+        return view
+
+    def level_bounds(self, node: int) -> dict[int, float] | None:
+        """Store-metadata pruning bounds, or ``None`` while dirty: the
+        metadata describes the frozen columns, not the overlay deltas."""
+        if self.dirty:
+            return None
+        if self._correction_max is None:
+            self._correction_max = float(self.corrections.max(initial=0.0))
+        return store_level_bounds(
+            self.store, node, self.parameters.sqrt_c, self._correction_max
+        )
 
 
-class DynamicSlingIndex:
+class DynamicSlingIndex(SlingQueries):
     """A SLING index that stays queryable while its graph mutates.
 
     Wraps a plain (no space-reduction / accuracy-enhancement) in-memory
-    :class:`SlingIndex` build and exposes the same query surface —
-    ``single_pair`` / ``single_source`` / ``top_k`` plus the size accessors
-    the backend adapter needs — with three additions: :meth:`add_edges` /
+    :class:`SlingIndex` build and serves the shared
+    :class:`~repro.sling.queries.SlingQueries` surface from its current
+    generation — ``bounded`` top-k uses the store's pruning bounds only
+    while the generation is clean and otherwise returns the exact local-push
+    ranking — plus the size accessors the backend adapter needs, with
+    three additions: :meth:`add_edges` /
     :meth:`remove_edges` / :meth:`mutate` apply edge deltas incrementally,
     :meth:`refreeze` compacts them back into a frozen store with bitwise
     rebuild parity, and :attr:`version` / :meth:`staleness_bound` report
@@ -221,6 +258,7 @@ class DynamicSlingIndex:
             overlay={},
             version=0,
             dirty=False,
+            parameters=self._base.parameters,
         )
 
     def _generation(self) -> _Generation:
@@ -228,6 +266,8 @@ class DynamicSlingIndex:
         if gen is None:
             raise IndexNotBuiltError("dynamic SLING index")
         return gen
+
+    _serving = _generation
 
     @property
     def is_built(self) -> bool:
@@ -361,7 +401,7 @@ class DynamicSlingIndex:
 
             affected_targets: set[int] = set()
             for node in detect:
-                view = self._compose_view(gen, node)
+                view = gen.view(node)
                 values = np.asarray(view.values)
                 targets = np.asarray(view.targets)
                 affected_targets.update(
@@ -455,6 +495,7 @@ class DynamicSlingIndex:
                 overlay=overlay,
                 version=new_version,
                 dirty=True,
+                parameters=params,
             )
             self._mutation_count += 1
             return MutationReport(
@@ -534,6 +575,7 @@ class DynamicSlingIndex:
                     overlay={},
                     version=snapshot.version + 1,
                     dirty=False,
+                    parameters=params,
                 )
                 self._refreeze_count += 1
                 return True
@@ -573,10 +615,7 @@ class DynamicSlingIndex:
                 values_parts.append(store.values[lo:hi])
                 counts[node] = hi - lo
                 continue
-            view = store.node_view(node).override(
-                (level, target, value)
-                for (level, target), value in patch.items()
-            )
+            view = gen.view(node)
             values = np.asarray(view.values)
             keep = values > 0.0
             levels_parts.append(np.asarray(view.levels)[keep])
@@ -591,78 +630,6 @@ class DynamicSlingIndex:
             np.concatenate(targets_parts),
             np.concatenate(values_parts),
         )
-
-    # ------------------------------------------------------------------ #
-    # Queries (read one generation, never a lock)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _compose_view(gen: _Generation, node: int) -> QueryView:
-        view = gen.store.node_view(node)
-        patch = gen.overlay.get(node)
-        if patch:
-            view = view.override(
-                (level, target, value)
-                for (level, target), value in patch.items()
-            )
-        return view
-
-    def _query_view(self, gen: _Generation, node: int) -> QueryView:
-        node = int(node)
-        gen.graph.in_degree(node)  # validates the node id
-        return self._compose_view(gen, node)
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        """Approximate SimRank ``s̃(u, v)`` on the current generation."""
-        gen = self._generation()
-        return intersect_views(
-            self._query_view(gen, node_u),
-            self._query_view(gen, node_v),
-            gen.corrections,
-        )
-
-    def single_source(
-        self, node: int, *, method: str = "local_push"
-    ) -> np.ndarray:
-        """Approximate SimRank from ``node`` to every node, as ``(n,)``.
-
-        Supports the ``"local_push"`` (bitwise-stable reference) and
-        ``"cascade"`` kernels; both run on the current graph with the
-        overlay-composed view, so tombstoned entries push no mass.
-        """
-        gen = self._generation()
-        params = self._base.parameters
-        view = self._query_view(gen, node)
-        if method == "local_push":
-            return single_source_local_push(
-                gen.graph, view, gen.corrections, params.sqrt_c, params.theta
-            )
-        if method == "cascade":
-            return single_source_cascade(
-                gen.graph, view, gen.corrections, params.sqrt_c, params.theta
-            )
-        raise ParameterError(
-            f"unknown single-source method {method!r}; "
-            "expected 'local_push' or 'cascade'"
-        )
-
-    def top_k(
-        self, node: int, k: int, *, method: str = "local_push",
-        budget: float | None = None,
-    ) -> list[tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` (excluding itself).
-
-        ``"bounded"`` falls back to the exact local-push ranking: the
-        packed store's per-level pruning metadata describes the *frozen*
-        columns, so its bounds are not trustworthy while overlay deltas are
-        outstanding.  (``budget`` is accepted for interface compatibility.)
-        """
-        del budget
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        if method == "bounded":
-            method = "local_push"
-        scores = self.single_source(node, method=method)
-        return rank_top_k(scores, int(node), k)
 
     # ------------------------------------------------------------------ #
     # Size accounting (backend-adapter surface)

@@ -9,11 +9,12 @@
 * the optional space-reduction and accuracy-enhancement optimizations
   (:mod:`repro.sling.optimizations`, Sections 5.2 / 5.3),
 
-and exposes the two query primitives of the paper:
+and serves the paper's query primitives through the shared
+:class:`~repro.sling.queries.SlingQueries` surface:
 
-* :meth:`SlingIndex.single_pair` — Algorithm 3, ``O(1/ε)`` time,
-* :meth:`SlingIndex.single_source` — Algorithm 6 (local push) or the naive
-  n-fold application of Algorithm 3.
+* ``single_pair`` — Algorithm 3, ``O(1/ε)`` time,
+* ``single_source`` — Algorithm 6 (local push), the level cascade, or the
+  naive n-fold application of Algorithm 3.
 
 Every returned score carries the Theorem-1 guarantee: additive error at most
 ``ε`` with probability at least ``1 - δ`` over the randomness of the build.
@@ -28,23 +29,12 @@ import numpy as np
 
 from ..exceptions import IndexNotBuiltError, ParameterError
 from ..graphs import DiGraph
-from ..ranking import rank_top_k
 from .correction import estimate_all_correction_factors
 from .hitting import HittingProbabilitySet, build_hitting_sets, exact_near_hops
 from .optimizations import AccuracyEnhancer, SpaceReduction
-from .packed import (
-    PackedHittingStore,
-    QueryView,
-    intersect_views,
-    view_from_hitting_set,
-)
+from .packed import PackedHittingStore, QueryView
 from .parameters import SlingParameters
-from .single_source import (
-    BoundedTopK,
-    bounded_top_k,
-    single_source_cascade,
-    single_source_local_push,
-)
+from .queries import SlingQueries, store_level_bounds
 from .walks import SqrtCWalker
 
 __all__ = ["SlingIndex", "BuildStatistics"]
@@ -76,8 +66,12 @@ class BuildStatistics:
         )
 
 
-class SlingIndex:
+class SlingIndex(SlingQueries):
     """SimRank index with near-optimal query time and provable accuracy.
+
+    Queries (``single_pair`` / ``single_source`` / ``top_k`` /
+    ``top_k_bounded`` / ``all_pairs``) come from :class:`SlingQueries`; the
+    index is its own serving snapshot.
 
     Parameters
     ----------
@@ -174,9 +168,7 @@ class SlingIndex:
     @property
     def is_built(self) -> bool:
         """Whether :meth:`build` has completed."""
-        return self._corrections is not None and (
-            self._store is not None or self._hitting_sets is not None
-        )
+        return self._corrections is not None and self._store is not None
 
     @property
     def build_statistics(self) -> BuildStatistics:
@@ -192,14 +184,14 @@ class SlingIndex:
         assert self._corrections is not None
         return self._corrections
 
+    #: Serving-snapshot name of :attr:`correction_factors`.
+    corrections = correction_factors
+
     @property
     def packed_store(self) -> PackedHittingStore:
         """The frozen columnar store all queries read (the real index)."""
         self._require_built()
-        if self._store is None:
-            # Legacy path: hitting sets were attached directly; freeze them.
-            assert self._hitting_sets is not None
-            self._store = PackedHittingStore.from_hitting_sets(self._hitting_sets)
+        assert self._store is not None
         return self._store
 
     @property
@@ -310,9 +302,13 @@ class SlingIndex:
         return self
 
     # ------------------------------------------------------------------ #
-    # Query-time hitting sets (with optimizations applied)
+    # Serving snapshot: query-time views (with optimizations applied)
     # ------------------------------------------------------------------ #
-    def _query_view(self, node: int) -> QueryView:
+    def _serving(self) -> "SlingIndex":
+        self._require_built()
+        return self
+
+    def view(self, node: int) -> QueryView:
         """The packed view actually used to answer a query from ``node``.
 
         Starts from a zero-copy slice of the store and composes, in order,
@@ -344,12 +340,21 @@ class SlingIndex:
                 )
         return view
 
+    def level_bounds(self, node: int) -> dict[int, float]:
+        """Store-metadata pruning bounds for the bounded top-k (see
+        :func:`~repro.sling.queries.store_level_bounds`)."""
+        if self._correction_max is None:
+            self._correction_max = float(self.corrections.max(initial=0.0))
+        return store_level_bounds(
+            self.packed_store, node, self._params.sqrt_c, self._correction_max
+        )
+
     def query_hitting_set(self, node: int) -> HittingProbabilitySet:
         """The hitting set actually used to answer a query from ``node``.
 
         Applies, in order, the space-reduction reconstruction (exact step-1/2
         values via Algorithm 5) and the accuracy enhancement ``H*(v)``.  This
-        is the dict-based compatibility twin of :meth:`_query_view`; the two
+        is the dict-based compatibility twin of :meth:`view`; the two
         compose identical entries (the parity suite asserts it).
         """
         self._require_built()
@@ -372,193 +377,6 @@ class SlingIndex:
         if self._enhancer is not None:
             effective = self._enhancer.enhance(node, effective)
         return effective
-
-    # ------------------------------------------------------------------ #
-    # Single-pair queries (Algorithm 3)
-    # ------------------------------------------------------------------ #
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        """Approximate SimRank ``s̃(u, v)`` with at most ``ε`` additive error.
-
-        Implements Algorithm 3 on the packed store: one sorted-key
-        intersection of the two views' combined-key columns, then a single
-        dot product with ``corrections[targets]``.
-        """
-        self._require_built()
-        assert self._corrections is not None
-        return intersect_views(
-            self._query_view(node_u), self._query_view(node_v), self._corrections
-        )
-
-    def _intersect_score(
-        self, set_u: HittingProbabilitySet, set_v: HittingProbabilitySet
-    ) -> float:
-        """Algorithm 3 over dict-based sets (compatibility/reference path)."""
-        assert self._corrections is not None
-        return intersect_views(
-            view_from_hitting_set(set_u),
-            view_from_hitting_set(set_v),
-            self._corrections,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Single-source queries (Section 6)
-    # ------------------------------------------------------------------ #
-    def single_source(self, node: int, *, method: str = "local_push") -> np.ndarray:
-        """Approximate SimRank from ``node`` to every node, as an ``(n,)`` array.
-
-        Parameters
-        ----------
-        node:
-            The query (source) node.
-        method:
-            ``"local_push"`` runs Algorithm 6 (the default; bitwise-stable
-            reference kernel); ``"cascade"`` runs the level-cascade kernel —
-            ``max ℓ`` push steps instead of ``Σℓ``, several times faster and
-            within the same ``ε`` guarantee of the reference (but not bitwise
-            identical to it); ``"pairwise"`` applies Algorithm 3 once per
-            node — asymptotically ``O(n/ε)`` but slower in practice, exactly
-            as Figure 2 shows.
-        """
-        if method == "local_push":
-            return self._single_source_local_push(node)
-        if method == "cascade":
-            return self._single_source_cascade(node)
-        if method == "pairwise":
-            return self._single_source_pairwise(node)
-        raise ParameterError(
-            f"unknown single-source method {method!r}; "
-            "expected 'local_push', 'cascade' or 'pairwise'"
-        )
-
-    def _single_source_pairwise(self, node: int) -> np.ndarray:
-        self._require_built()
-        assert self._corrections is not None
-        scores = np.zeros(self._graph.num_nodes, dtype=np.float64)
-        view_u = self._query_view(node)
-        for other in self._graph.nodes():
-            scores[other] = intersect_views(
-                view_u, self._query_view(other), self._corrections
-            )
-        return scores
-
-    def _single_source_local_push(self, node: int) -> np.ndarray:
-        """Algorithm 6: rebuild the relevant inverted lists on the fly."""
-        self._require_built()
-        assert self._corrections is not None
-        return single_source_local_push(
-            self._graph,
-            self._query_view(node),
-            self._corrections,
-            self._params.sqrt_c,
-            self._params.theta,
-        )
-
-    def _single_source_cascade(self, node: int) -> np.ndarray:
-        """The level-cascade kernel over the same per-query view."""
-        self._require_built()
-        assert self._corrections is not None
-        return single_source_cascade(
-            self._graph,
-            self._query_view(node),
-            self._corrections,
-            self._params.sqrt_c,
-            self._params.theta,
-        )
-
-    def _correction_upper_bound(self) -> float:
-        """Cached ``max_j d̃_j``, used to scale store-side pruning bounds."""
-        assert self._corrections is not None
-        if self._correction_max is None:
-            self._correction_max = float(
-                np.asarray(self._corrections).max(initial=0.0)
-            )
-        return self._correction_max
-
-    def _store_level_bounds(self, node: int) -> dict[int, float]:
-        """Per-level residual-mass bounds from the packed store's metadata.
-
-        ``B_ℓ = (√c)^ℓ · max_k h̃^(ℓ)(node, k) · max_j d̃_j`` — an upper bound
-        on the per-query corrected frontier maximum that needs no column
-        reads at query time (the store stats are computed once and cached).
-        Only consulted for levels above the overlay floor, where the raw
-        store values are authoritative for every flag combination.
-        """
-        sqrt_c = self._params.sqrt_c
-        correction_max = self._correction_upper_bound()
-        stat_levels, _totals, stat_maxima = self.packed_store.node_level_stats(
-            int(node)
-        )
-        return {
-            int(level): (sqrt_c ** int(level)) * float(maximum) * correction_max
-            for level, maximum in zip(stat_levels, stat_maxima)
-        }
-
-    # ------------------------------------------------------------------ #
-    # Derived queries
-    # ------------------------------------------------------------------ #
-    def top_k(
-        self, node: int, k: int, *, method: str = "local_push",
-        budget: float | None = None,
-    ) -> list[tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` (excluding ``node`` itself).
-
-        ``method`` accepts every :meth:`single_source` method plus
-        ``"bounded"``, the pruned top-k path of :meth:`top_k_bounded`
-        (``budget`` is only meaningful there).  Every ``single_source``
-        variant returns a fresh array, so the ranking consumes it directly —
-        no defensive copy.
-        """
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        if method == "bounded":
-            return self.top_k_bounded(node, k, budget=budget).ranked
-        return rank_top_k(self.single_source(node, method=method), int(node), k)
-
-    def top_k_bounded(
-        self, node: int, k: int, *, budget: float | None = None
-    ) -> BoundedTopK:
-        """Top-k via the truncated cascade with residual-mass pruning bounds.
-
-        The cascade stops at the shallowest stored level whose undelivered
-        tail (bounded per level by the packed store's precomputed
-        residual-mass metadata) fits ``budget``, and the truncated ranking
-        is kept only when the k-th candidate's lower bound dominates that
-        tail; otherwise the full cascade runs.  Returned scores are within
-        ``tail_bound ≤ budget ≤ ε`` of the full cascade's values, so the
-        Theorem-1 additive guarantee degrades by at most the budget.
-
-        ``budget`` defaults to ``ε/4``, which on the benchmark workload
-        keeps exact top-k set agreement while stopping 2-3x shallower than
-        the full depth.
-        """
-        self._require_built()
-        assert self._corrections is not None
-        if budget is None:
-            budget = self._params.epsilon / 4.0
-        return bounded_top_k(
-            self._graph,
-            self._query_view(node),
-            self._corrections,
-            self._params.sqrt_c,
-            self._params.theta,
-            int(node),
-            k,
-            budget=budget,
-            level_bounds=self._store_level_bounds(node),
-        )
-
-    def all_pairs(self, *, method: str = "local_push") -> np.ndarray:
-        """All-pairs SimRank matrix computed one single-source query per node.
-
-        Intended for the accuracy experiments on small graphs (Figures 5-7);
-        memory is Θ(n²).
-        """
-        self._require_built()
-        n = self._graph.num_nodes
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for node in self._graph.nodes():
-            matrix[node] = self.single_source(node, method=method)
-        return matrix
 
     # ------------------------------------------------------------------ #
     # Size accounting

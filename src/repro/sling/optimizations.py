@@ -140,11 +140,6 @@ class AccuracyEnhancer:
         """The marked ``(level, target, value)`` entries of ``node``."""
         return self._marks.get(int(node), [])
 
-    @property
-    def has_marks(self) -> bool:
-        """Whether any node has marked entries."""
-        return bool(self._marks)
-
     # ------------------------------------------------------------------ #
     def mark_all(self, hitting_sets: list[HittingProbabilitySet]) -> None:
         """Select the marked entries of every node (done once, at build time).

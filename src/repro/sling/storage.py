@@ -14,8 +14,9 @@ This module implements both sides on top of the packed columnar store of
   written as individual ``.npy`` files (format version 2) and loaded back
   with ``np.load(..., mmap_mode="r")``: **no dict round-trip**, so loading is
   O(1)-ish in index size and queries fault in only the pages they slice,
-* :class:`DiskBackedIndex` — answers single-pair and single-source queries by
-  slicing the memory-mapped columns directly (two slices per pair query),
+* :class:`DiskBackedIndex` — the mmap load plus an I/O counter, answering
+  every query through the shared :class:`~repro.sling.queries.SlingQueries`
+  surface (two column slices per pair query),
 * :func:`out_of_core_build` — Algorithm 2 with a bounded in-memory buffer:
   records are spilled to sorted run files and merged straight into the packed
   store, mimicking the Figure-10 experiment where the memory buffer is varied
@@ -40,17 +41,11 @@ import numpy as np
 from ..exceptions import ParameterError, StorageError
 from ..graphs import DiGraph
 from .correction import estimate_all_correction_factors
-from .hitting import HittingProbabilitySet, reverse_push
+from .hitting import reverse_push
 from .index import SlingIndex
-from ..ranking import rank_top_k
-from .packed import PackedHittingStore, intersect_views
+from .packed import PackedHittingStore, QueryView
 from .parameters import SlingParameters
-from .single_source import (
-    BoundedTopK,
-    bounded_top_k,
-    single_source_cascade,
-    single_source_local_push,
-)
+from .queries import SlingQueries
 from .walks import SqrtCWalker
 
 __all__ = [
@@ -225,145 +220,67 @@ def load_index(
 # --------------------------------------------------------------------------- #
 # Disk-backed query processing
 # --------------------------------------------------------------------------- #
-class DiskBackedIndex:
+class DiskBackedIndex(SlingQueries):
     """Answer SimRank queries while keeping hitting sets on disk.
 
-    Only the correction factors (8 bytes per node) are held in memory; the
-    packed columns stay memory-mapped, and every single-pair query slices
+    The serving state is exactly :func:`load_index` with ``mmap_mode="r"``:
+    only the correction factors (8 bytes per node) are read into memory and
+    the packed columns stay memory-mapped, so every single-pair query slices
     exactly two per-node segments out of them — the constant-I/O argument of
-    Section 5.4, now with zero per-query deserialisation.
+    Section 5.4.  Queries come from :class:`SlingQueries` over the loaded
+    index's composed views, so the space-reduction reconstruction and the
+    ``H*`` overlay apply here exactly as in memory (reconstruction needs only
+    the graph) and answers are bitwise identical to the saved index's.  The
+    one addition is the per-view I/O counter.
     """
 
     def __init__(self, directory: str | Path, graph: DiGraph) -> None:
-        directory = Path(directory)
-        meta = _read_meta(directory)
-        if meta["num_nodes"] != graph.num_nodes:
-            raise StorageError(
-                "graph mismatch between the stored index and the supplied graph"
-            )
-        self._graph = graph
-        self._params = _params_from_meta(meta)
-        self._corrections, self._store, _ = _load_arrays(
-            directory, meta, mmap_mode="r"
-        )
+        self._index = load_index(directory, graph, mmap_mode="r")
         self._reads = 0
         # The packed arrays are read-only at query time, so concurrent queries
         # are safe; only this I/O counter is mutable and needs the lock.
         self._reads_lock = threading.Lock()
-        self._correction_max: float | None = None
+
+    @property
+    def graph(self) -> DiGraph:
+        """The graph the stored index is attached to."""
+        return self._index.graph
+
+    @property
+    def corrections(self) -> np.ndarray:
+        """The resident correction factors ``d̃_k``."""
+        return self._index.correction_factors
 
     @property
     def parameters(self) -> SlingParameters:
         """The parameter set the stored index was built with."""
-        return self._params
+        return self._index.parameters
 
     @property
-    def store(self) -> PackedHittingStore:
+    def packed_store(self) -> PackedHittingStore:
         """The memory-mapped packed store backing all queries."""
-        return self._store
+        return self._index.packed_store
 
     @property
     def num_set_reads(self) -> int:
         """Number of hitting sets fetched so far (I/O accounting)."""
         return self._reads
 
-    def _load_view(self, node: int):
-        self._graph.in_degree(node)  # validates the node id
+    def _serving(self) -> "DiskBackedIndex":
+        return self
+
+    def view(self, node: int) -> QueryView:
+        """One node's composed view, counted as one hitting-set read."""
+        view = self._index.view(node)
         with self._reads_lock:
             self._reads += 1
-        return self._store.node_view(int(node))
+        return view
 
-    def _load_set(self, node: int) -> HittingProbabilitySet:
-        """Materialise one node's set as a dict (compatibility helper)."""
-        self._graph.in_degree(node)  # validates the node id
-        with self._reads_lock:
-            self._reads += 1
-        return self._store.hitting_set(int(node))
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        """Algorithm 3 over two mmap-backed column slices."""
-        view_u = self._load_view(node_u)
-        view_v = self._load_view(node_v)
-        return intersect_views(view_u, view_v, self._corrections)
-
-    def single_source(self, node: int, *, method: str = "local_push") -> np.ndarray:
-        """Algorithm 6 over a mmap-backed column slice for the query node.
-
-        ``method="cascade"`` runs the level-cascade kernel instead of the
-        per-level local push; the two agree within the index's ε budget.
-        """
-        view = self._load_view(node)
-        if method == "cascade":
-            return single_source_cascade(
-                self._graph,
-                view,
-                self._corrections,
-                self._params.sqrt_c,
-                self._params.theta,
-            )
-        if method != "local_push":
-            raise ParameterError(
-                f"unknown single-source method {method!r}; "
-                "expected 'local_push' or 'cascade'"
-            )
-        return single_source_local_push(
-            self._graph,
-            view,
-            self._corrections,
-            self._params.sqrt_c,
-            self._params.theta,
-        )
-
-    def top_k(
-        self, node: int, k: int, *, method: str = "local_push",
-        budget: float | None = None,
-    ) -> list[tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` (excluding itself).
-
-        Mirrors :meth:`SlingIndex.top_k`: any :meth:`single_source` method
-        plus ``"bounded"`` for the pruned cascade of :meth:`top_k_bounded`.
-        """
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        if method == "bounded":
-            return self.top_k_bounded(node, k, budget=budget).ranked
-        return rank_top_k(self.single_source(node, method=method), int(node), k)
-
-    def top_k_bounded(
-        self, node: int, k: int, *, budget: float | None = None
-    ) -> BoundedTopK:
-        """Pruned top-k over the mmap-backed store (see ``SlingIndex``).
-
-        The per-level residual-mass bounds come from the store's
-        :meth:`~repro.sling.packed.PackedHittingStore.level_stats` metadata;
-        computing it faults every column in once, after which bounded queries
-        touch only the levels the truncated cascade actually replays.
-        """
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        if budget is None:
-            budget = self._params.epsilon / 4.0
-        if self._correction_max is None:
-            self._correction_max = (
-                float(self._corrections.max()) if self._corrections.size else 0.0
-            )
-        sqrt_c = self._params.sqrt_c
-        stat_levels, _, stat_maxima = self._store.node_level_stats(int(node))
-        level_bounds = {
-            int(level): (sqrt_c ** int(level)) * float(maximum) * self._correction_max
-            for level, maximum in zip(stat_levels, stat_maxima)
-        }
-        return bounded_top_k(
-            self._graph,
-            self._load_view(node),
-            self._corrections,
-            sqrt_c,
-            self._params.theta,
-            int(node),
-            k,
-            budget=budget,
-            level_bounds=level_bounds,
-        )
+    def level_bounds(self, node: int) -> dict[int, float]:
+        """Store-metadata pruning bounds; computing the store stats faults
+        every column in once, after which bounded queries touch only the
+        levels the truncated cascade actually replays."""
+        return self._index.level_bounds(node)
 
 
 # --------------------------------------------------------------------------- #

@@ -160,6 +160,23 @@ class TestAdapters:
         with pytest.raises(ParameterError):
             built_backends["power"].top_k(0, 0)
 
+    @pytest.mark.parametrize("flag", ["sling_reduce_space", "sling_enhance_accuracy"])
+    def test_disk_build_honours_optimization_flags(self, parity_graph, tmp_path, flag):
+        config = BackendConfig(
+            epsilon=EPSILON, seed=0, work_directory=str(tmp_path), **{flag: True}
+        )
+        disk = DiskSlingBackend(parity_graph, config).build()
+        memory = SlingBackend(parity_graph, config).build()
+        meta = (tmp_path / "sling_meta.json").read_text()
+        saved_flag = flag.removeprefix("sling_")
+        assert f'"{saved_flag}": true' in meta
+        for node in (0, 7, 15):
+            for method in ("local_push", "cascade", "pairwise"):
+                assert np.array_equal(
+                    disk.single_source(node, method=method),
+                    memory.single_source(node, method=method),
+                )
+
 
 class TestSlingTopKMode:
     def test_invalid_mode_rejected(self):

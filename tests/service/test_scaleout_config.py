@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine import BackendConfig
 from repro.graphs.datasets import load_dataset
-from repro.service import ServiceConfig, SimRankService
+from repro.service import ServiceConfig, SimRankService, SingleSourceQuery
 from repro.sling import SlingIndex, has_saved_index, save_index
 
 SCALE, SEED = 0.05, 0
@@ -101,6 +101,22 @@ class TestPrebuiltIndexReuse:
         finally:
             reused.close_all()
             fresh.close_all()
+
+    def test_degrade_reaches_the_cascade_on_a_saved_index(self, index_root):
+        # Regression: the disk adapter's single_source took no ``method``,
+        # so degrade=True fell back to the exact path with degraded: false.
+        service = self.service(index_root, backend="auto")
+        try:
+            engine = service.open_dataset("GrQc").engine()
+            assert engine.backend.name == "sling-disk"
+            result = service.execute(SingleSourceQuery("GrQc", node=3), degrade=True)
+            assert result.ok, result.error
+            assert result.degraded is True
+            assert result.value == engine.backend.single_source(
+                3, method="cascade"
+            ).tolist()
+        finally:
+            service.close_all()
 
     def test_missing_saved_index_falls_back_to_normal_build(self, tmp_path):
         service = self.service(tmp_path)  # empty root: nothing saved

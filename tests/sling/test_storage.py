@@ -203,6 +203,20 @@ class TestDiskBackedIndex:
         with pytest.raises(StorageError):
             DiskBackedIndex(directory, generators.cycle(5))
 
+    def test_edge_count_mismatch_rejected(self, graph, built_index, tmp_path):
+        # Same node count, one more edge: the stored sets describe a
+        # different graph, so attaching must fail like load_index does.
+        directory = save_index(built_index, tmp_path / "index")
+        missing = next(
+            (u, v) for u in graph.nodes() for v in graph.nodes()
+            if u != v and not graph.has_edge(u, v)
+        )
+        other = graph.with_edges([missing], [])
+        assert other.num_nodes == graph.num_nodes
+        assert other.num_edges == graph.num_edges + 1
+        with pytest.raises(StorageError):
+            DiskBackedIndex(directory, other)
+
     def test_parameters_exposed(self, graph, built_index, tmp_path):
         directory = save_index(built_index, tmp_path / "index")
         disk = DiskBackedIndex(directory, graph)
